@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	wsbench [-out BENCH_PR10.json] [-runs 6] [-horizon 2000]
+//	wsbench [-out bench-latest.json] [-runs 6] [-horizon 2000]
 //	wsbench -tables=false -compare BENCH_PR8.json [-maxregress 0.25]
 package main
 
@@ -85,7 +85,7 @@ type Report struct {
 }
 
 func run() int {
-	out := flag.String("out", "BENCH_PR10.json", "output JSON file (- for stdout)")
+	out := flag.String("out", "bench-latest.json", "output JSON file (- for stdout); the committed BENCH_PR*.json records are written only when named")
 	runs := flag.Int("runs", 6, "measured steady-state runs per throughput config")
 	horizon := flag.Float64("horizon", 2_000, "simulated horizon per throughput run")
 	tables := flag.Bool("tables", true, "also time Tables 1-4 at QuickScale (the slow part)")

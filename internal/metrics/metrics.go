@@ -97,7 +97,7 @@ type Metrics struct {
 
 	// QueueHist[i] is the time-sampled fraction of processors holding
 	// exactly i tasks, with the final bucket absorbing all longer queues;
-	// nil unless Options.QueueHistDepth was set. Directly comparable to
+	// nil unless sim.Options has QueueHistDepth set. Directly comparable to
 	// the mean-field occupancies π_i − π_{i+1}.
 	QueueHist        []float64 `json:"queue_hist,omitempty"`
 	QueueHistSamples int64     `json:"queue_hist_samples,omitempty"`

@@ -4,160 +4,23 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/eventq"
-	"repro/internal/metrics"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Event kinds used by the engine.
-const (
-	evArrival   eventq.Kind = iota // external arrival stream for one class
-	evSpawn                        // internal spawn stream (thinned)
-	evDeparture                    // head-of-queue service completion
-	evRetry                        // repeated steal attempt by an idle thief
-	evTransfer                     // stolen task arrives at the thief
-	evRebalance                    // pairwise rebalancing event
-	evSample                       // periodic empirical-tail snapshot
-	evSeries                       // periodic mean-load time-series snapshot
-	evFluid                        // hybrid engine: advance the fluid bulk one step
-	evProbe                        // hybrid engine: bulk thief probes a tracked victim
-)
-
-const (
-	// Fresh task deques are carved out of one contiguous arena with
-	// dequeArenaCap slots each (three-index slices, so an overfull deque
-	// copies out on append instead of clobbering its neighbor). Queue
-	// lengths under the stable loads the simulator runs stay far below 64,
-	// so per-processor queues never regrow — which is what lets the
-	// replication loop hold its allocs-per-run gate even though each
-	// replication sees a different random stream. Above
-	// dequeArenaMaxProcs processors the arena footprint (N·64·8 B) stops
-	// being worth it and deques start empty.
-	dequeArenaCap      = 64
-	dequeArenaMaxProcs = 4096
-)
-
-// procSoA holds the per-processor state as a struct of arrays: one slice
-// per field, indexed by processor, instead of one slice of structs. The
-// layout is chosen for the victim sampler, the hottest random-access read
-// in the engine: picking the most loaded of D uniform draws touches D
-// random processors, and with the lengths packed densely in qlen (16 per
-// cache line) those touches are near-free, where the equivalent
-// array-of-structs read dragged a ~100-byte struct line per draw. The
-// remaining slices keep each event's accesses on a handful of distinct
-// lines instead of one wide struct line per processor.
-//
-// qlen mirrors q[i].Len(); every queue mutation goes through pushBack,
-// popFront, or popBack to keep the mirror exact.
-type procSoA struct {
-	q          []taskDeque
-	qlen       []int32   // dense mirror of q[i].Len(), read by victim sampling
-	rate       []float64 // service-rate multiplier
-	class      []int32
-	awaiting   []bool    // a stolen task is in flight to this processor
-	inFlight   []float64 // arrival time of the in-flight task
-	emptyEpoch []uint32  // bumped whenever the queue gains a task
-
-	// Per-processor observability counters (metrics layer). busySince is
-	// only meaningful while the queue is non-empty.
-	stealAttempts  []int64
-	stealSuccesses []int64
-	busySince      []float64
-	busyTime       []float64
-}
-
-// resize prepares the state for n processors, recycling every slice (and
-// each deque's buffer) from the previous run when large enough. All fields
-// reset to zero values except rate, which defaults to 1.
-func (ps *procSoA) resize(n int) {
-	if cap(ps.qlen) >= n {
-		ps.q = ps.q[:n]
-		ps.qlen = ps.qlen[:n]
-		ps.rate = ps.rate[:n]
-		ps.class = ps.class[:n]
-		ps.awaiting = ps.awaiting[:n]
-		ps.inFlight = ps.inFlight[:n]
-		ps.emptyEpoch = ps.emptyEpoch[:n]
-		ps.stealAttempts = ps.stealAttempts[:n]
-		ps.stealSuccesses = ps.stealSuccesses[:n]
-		ps.busySince = ps.busySince[:n]
-		ps.busyTime = ps.busyTime[:n]
-		for i := range ps.q {
-			ps.q[i].Reset()
-		}
-	} else {
-		ps.q = make([]taskDeque, n)
-		if n <= dequeArenaMaxProcs {
-			arena := make([]float64, n*dequeArenaCap)
-			for i := range ps.q {
-				ps.q[i].buf = arena[i*dequeArenaCap : i*dequeArenaCap : (i+1)*dequeArenaCap]
-			}
-		}
-		ps.qlen = make([]int32, n)
-		ps.rate = make([]float64, n)
-		ps.class = make([]int32, n)
-		ps.awaiting = make([]bool, n)
-		ps.inFlight = make([]float64, n)
-		ps.emptyEpoch = make([]uint32, n)
-		ps.stealAttempts = make([]int64, n)
-		ps.stealSuccesses = make([]int64, n)
-		ps.busySince = make([]float64, n)
-		ps.busyTime = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		ps.qlen[i] = 0
-		ps.rate[i] = 1
-		ps.class[i] = 0
-		ps.awaiting[i] = false
-		ps.inFlight[i] = 0
-		ps.emptyEpoch[i] = 0
-		ps.stealAttempts[i] = 0
-		ps.stealSuccesses[i] = 0
-		ps.busySince[i] = 0
-		ps.busyTime[i] = 0
-	}
-}
-
-// pushBack appends a task to p's queue, keeping the qlen mirror exact.
-func (ps *procSoA) pushBack(p int32, arrival float64) {
-	ps.q[p].PushBack(arrival)
-	ps.qlen[p]++
-}
-
-// popFront removes and returns p's task in service.
-func (ps *procSoA) popFront(p int32) float64 {
-	ps.qlen[p]--
-	return ps.q[p].PopFront()
-}
-
-// popBack removes and returns p's most recently queued task.
-func (ps *procSoA) popBack(p int32) float64 {
-	ps.qlen[p]--
-	return ps.q[p].PopBack()
-}
-
-// engine holds one simulation run.
+// engine is the exact discrete-event backend: the tracked-processor core
+// over all N processors, plus what only the DES models — victim sampling
+// with D choices, transfer delays, pairwise rebalancing, internal spawns,
+// heterogeneous classes, and custom arrival processes.
 type engine struct {
-	o   Options
-	r   *rng.Source
-	q   eventq.Q
-	cal *eventq.Calendar // q's calendar, non-nil iff it is the backend; hot paths call it directly
-	ps  procSoA
-	now float64
+	procCore
 
 	classProcs [][]int32 // processor indices per class (victim sampling is global)
 
-	// Hot-path accelerators, fixed per run. svcExp > 0 marks an
-	// exponential service distribution whose samples the engine draws
-	// directly (bypassing the interface call — dist.Exponential.Sample is
-	// exactly r.Exp(rate), so the stream is unchanged). The Bounded
-	// samplers carry the precomputed Lemire threshold for each population
-	// the engine draws from; their accept/consume behavior is identical to
-	// Intn, so every random stream stays byte-identical.
-	svcExp    float64
+	// The Bounded samplers carry the precomputed Lemire threshold for each
+	// population the engine draws from; their accept/consume behavior is
+	// identical to Intn, so every random stream stays byte-identical.
 	pickN     rng.Bounded   // uniform draws over [0, N): victims, spawns
 	pickN1    rng.Bounded   // rebalance partner draws over [0, N-1)
 	classPick []rng.Bounded // arrival placement per class
@@ -167,29 +30,7 @@ type engine struct {
 	// arrival path — and its event and RNG sequence — untouched).
 	arrivals workload.ArrivalSource
 
-	// Load accounting: total tasks in queues plus in flight.
-	totalTasks   int64
-	loadIntegral float64 // ∫ totalTasks dt over [warmup, now]
-	loadSince    float64 // last accounting time ≥ warmup
-
-	res        Result
-	sojournSum float64
-	tails      *tailSampler
-	series     *seriesSampler
-	sojournH   *stats.Histogram
-
-	// Observability layer: counters are incremented in place on the hot
-	// path (no allocation); the queue-length histogram shares the evSample
-	// tick with the tail sampler.
-	met          metrics.Metrics
-	sampleEvery  float64
-	qhist        []int64
-	qhistSamples int64
-
-	// Reusable scratch, retained across reset so the steady-state event
-	// loop settles at zero allocations per event.
-	stealBuf []float64 // holds the tasks of one steal while they move
-	allIDs   []int32   // cached identity permutation for the one-class case
+	allIDs []int32 // cached identity permutation for the one-class case
 }
 
 // init prepares e for a fresh run of o on the given stream (backend
@@ -198,34 +39,7 @@ type engine struct {
 // indistinguishable from a new one: the event sequence, random draws, and
 // results are byte-identical.
 func (e *engine) init(o Options, stream *rng.Source) {
-	e.o = o
-	e.r = stream
-	e.now = 0
-	e.totalTasks = 0
-	e.loadIntegral = 0
-	e.loadSince = 0
-	e.res = Result{}
-	e.sojournSum = 0
-	e.tails = nil
-	e.series = nil
-	e.sojournH = nil
-	e.met = metrics.Metrics{}
-	e.sampleEvery = 0
-	e.qhist = nil
-	e.qhistSamples = 0
-
-	e.q.Configure(o.Queue, 4*o.N)
-	e.cal = e.q.Cal()
-	e.ps.resize(o.N)
-	if cap(e.stealBuf) == 0 {
-		e.stealBuf = make([]float64, 0, dequeArenaCap)
-	}
-	e.res.DrainTime = -1
-
-	e.svcExp = 0
-	if ex, ok := o.Service.(dist.Exponential); ok {
-		e.svcExp = ex.Rate
-	}
+	e.reset(o, stream, o.N)
 	e.pickN = rng.NewBounded(o.N)
 	if o.N > 1 {
 		e.pickN1 = rng.NewBounded(o.N - 1)
@@ -279,35 +93,36 @@ func (e *engine) init(o Options, stream *rng.Source) {
 	if o.Arrivals != nil {
 		e.arrivals = o.Arrivals.NewSource(o.N)
 		if t := e.arrivals.Next(0, e.r); !math.IsInf(t, 1) {
-			e.q.Push(eventq.Event{Time: t, Kind: evArrival, Aux: 0})
+			e.cal.Push(eventq.Event{Time: t, Kind: evArrival, Aux: 0})
 		}
 	} else if o.Classes == nil {
 		if o.Lambda > 0 {
-			e.q.Push(eventq.Event{Time: e.r.Exp(o.Lambda * float64(o.N)), Kind: evArrival, Aux: 0})
+			e.cal.Push(eventq.Event{Time: e.r.Exp(o.Lambda * float64(o.N)), Kind: evArrival, Aux: 0})
 		}
 	} else {
 		for ci, c := range o.Classes {
 			n := len(e.classProcs[ci])
 			if c.Lambda > 0 && n > 0 {
-				e.q.Push(eventq.Event{Time: e.r.Exp(c.Lambda * float64(n)), Kind: evArrival, Aux: int32(ci)})
+				e.cal.Push(eventq.Event{Time: e.r.Exp(c.Lambda * float64(n)), Kind: evArrival, Aux: int32(ci)})
 			}
 		}
 	}
 	// Internal spawn stream, thinned over all processors.
 	if o.LambdaInt > 0 {
-		e.q.Push(eventq.Event{Time: e.r.Exp(o.LambdaInt * float64(o.N)), Kind: evSpawn})
+		e.cal.Push(eventq.Event{Time: e.r.Exp(o.LambdaInt * float64(o.N)), Kind: evSpawn})
 	}
 	// Rebalancing chains, one per processor.
 	if o.Policy == PolicyRebalance {
 		for i := 0; i < o.N; i++ {
-			e.q.Push(eventq.Event{Time: e.r.Exp(o.RebalanceRate), Kind: evRebalance, Proc: int32(i)})
+			e.cal.Push(eventq.Event{Time: e.r.Exp(o.RebalanceRate), Kind: evRebalance, Proc: int32(i)})
 		}
 	}
-	e.scheduleFirstSample()
-	e.scheduleSeries()
-	e.res.P50, e.res.P95, e.res.P99 = math.NaN(), math.NaN(), math.NaN()
-	if o.SojournHistMax > 0 {
-		e.sojournH = stats.NewHistogram(0, o.SojournHistMax, 1000)
+	e.scheduleSample()
+	// The series records the initial state at once and then ticks from
+	// SeriesEvery.
+	if o.SeriesEvery > 0 {
+		e.recordSeries()
+		e.cal.Push(eventq.Event{Time: o.SeriesEvery, Kind: evSeries})
 	}
 }
 
@@ -317,92 +132,6 @@ func allProcs(n int) []int32 {
 		ids[i] = int32(i)
 	}
 	return ids
-}
-
-// accountLoad integrates the total-load process up to time t.
-func (e *engine) accountLoad(t float64) {
-	if t <= e.o.Warmup {
-		return
-	}
-	from := e.loadSince
-	if from < e.o.Warmup {
-		from = e.o.Warmup
-	}
-	if t > from {
-		e.loadIntegral += float64(e.totalTasks) * (t - from)
-	}
-	e.loadSince = t
-}
-
-// markBusy records the start of a busy period (queue went 0 → 1).
-func (e *engine) markBusy(p int32) {
-	e.ps.busySince[p] = e.now
-}
-
-// markIdle closes a busy period (queue went 1 → 0), accumulating the
-// post-warmup portion.
-func (e *engine) markIdle(p int32) {
-	from := e.ps.busySince[p]
-	if from < e.o.Warmup {
-		from = e.o.Warmup
-	}
-	if e.now > from {
-		e.ps.busyTime[p] += e.now - from
-	}
-}
-
-// addTask enqueues a task (with its original arrival time) at processor p,
-// starting service if the processor was idle.
-func (e *engine) addTask(p int32, arrival float64) {
-	e.ps.pushBack(p, arrival)
-	e.ps.emptyEpoch[p]++
-	e.totalTasks++
-	if e.ps.qlen[p] == 1 {
-		e.markBusy(p)
-		e.scheduleDeparture(p)
-	}
-}
-
-// scheduleDeparture samples a service time for the task now at the head of
-// p's queue.
-func (e *engine) scheduleDeparture(p int32) {
-	if e.ps.qlen[p] == 0 {
-		return
-	}
-	var s float64
-	if e.svcExp > 0 {
-		s = e.r.Exp(e.svcExp)
-	} else {
-		s = e.o.Service.Sample(e.r)
-	}
-	s /= e.ps.rate[p]
-	dep := eventq.Event{Time: e.now + s, Kind: evDeparture, Proc: p}
-	if e.cal != nil {
-		e.cal.Push(dep)
-	} else {
-		e.q.Push(dep)
-	}
-}
-
-// completeTask removes the head task of p, records its sojourn, and starts
-// the next task.
-func (e *engine) completeTask(p int32) {
-	arrival := e.ps.popFront(p)
-	e.totalTasks--
-	e.met.Departures++
-	if arrival >= e.o.Warmup {
-		sj := e.now - arrival
-		e.sojournSum += sj
-		e.res.Measured++
-		if e.sojournH != nil {
-			e.sojournH.Add(sj)
-		}
-	}
-	if e.ps.qlen[p] > 0 {
-		e.scheduleDeparture(p)
-	} else {
-		e.markIdle(p)
-	}
 }
 
 // victim samples one steal victim: the most loaded of D uniform draws over
@@ -427,86 +156,42 @@ func (e *engine) victim(thief int32) (int32, int) {
 // trySteal performs one steal attempt for a thief currently holding
 // `left` tasks. Returns true if a task (or K tasks) moved (or began moving).
 func (e *engine) trySteal(thief int32, left int) bool {
-	e.met.StealAttempts++
-	e.ps.stealAttempts[thief]++
+	e.countAttempt(thief)
 	v, load := e.victim(thief)
-	need := left + e.o.T
-	if load < need || load < 2 {
-		if load < 2 {
-			e.met.StealFailEmpty++
-		} else {
-			e.met.StealFailThreshold++
-		}
+	if !e.judgeSteal(thief, load, left+e.o.T) {
 		return false
 	}
-	e.met.StealSuccesses++
-	e.ps.stealSuccesses[thief]++
 	if e.o.TransferRate > 0 {
-		// One task enters flight; the thief will not steal again until it
-		// lands.
-		arrival := e.ps.popBack(v)
-		e.totalTasks-- // it leaves the victim's queue...
-		e.totalTasks++ // ...but stays in the system (in flight)
+		// One task enters flight (it leaves the victim's queue but stays in
+		// totalTasks); the thief will not steal again until it lands.
 		e.met.TransfersStarted++
 		e.ps.awaiting[thief] = true
-		e.ps.inFlight[thief] = arrival
-		e.q.Push(eventq.Event{Time: e.now + e.r.Exp(e.o.TransferRate), Kind: evTransfer, Proc: thief})
+		e.ps.inFlight[thief] = e.ps.popBack(v)
+		e.cal.Push(eventq.Event{Time: e.now + e.r.Exp(e.o.TransferRate), Kind: evTransfer, Proc: thief})
 		return true
 	}
-	// Instantaneous transfer of K tasks (or half the victim's queue under
-	// the steal-half heuristic), preserving their relative order. The moved
-	// tasks pass through a scratch buffer owned by the engine; it grows to
-	// the largest steal ever seen and is then reused, keeping the hot path
-	// allocation-free.
-	k := e.o.K
-	if e.o.Half {
-		k = (load + 1) / 2
-	}
-	tmp := e.stealBuf[:0]
-	for j := 0; j < k; j++ {
-		tmp = append(tmp, e.ps.popBack(v))
-	}
-	e.stealBuf = tmp
-	for j := len(tmp) - 1; j >= 0; j-- {
-		e.ps.pushBack(thief, tmp[j])
-		e.ps.emptyEpoch[thief]++
-		if e.ps.qlen[thief] == 1 {
-			e.markBusy(thief)
-			e.scheduleDeparture(thief)
-		}
-	}
+	e.moveTail(v, thief, e.stealCount(load))
 	return true
 }
 
 // afterCompletion runs the stealing policy hooks once p has finished a task.
 func (e *engine) afterCompletion(p int32) {
-	if e.o.Policy != PolicySteal {
-		return
-	}
-	if e.ps.awaiting[p] {
-		return // a stolen task is already on its way
+	if e.o.Policy != PolicySteal || e.ps.awaiting[p] {
+		return // no stealing, or a stolen task is already on its way
 	}
 	left := int(e.ps.qlen[p])
-	if left > e.o.B {
-		return
-	}
-	if e.trySteal(p, left) {
+	if left > e.o.B || e.trySteal(p, left) {
 		return
 	}
 	// Failed attempt: idle processors may retry at RetryRate.
 	if e.o.RetryRate > 0 && e.ps.qlen[p] == 0 {
-		e.q.Push(eventq.Event{
-			Time:  e.now + e.r.Exp(e.o.RetryRate),
-			Kind:  evRetry,
-			Proc:  p,
-			Epoch: e.ps.emptyEpoch[p],
-		})
+		e.armRetry(p)
 	}
 }
 
 // rebalance splits the combined load of p and a random partner as evenly as
 // possible; the initially larger side keeps the ceiling half. Tasks move
-// from the tail of the larger queue to the tail of the smaller one.
+// one by one from the tail of the larger queue to the tail of the smaller.
 func (e *engine) rebalance(p int32) {
 	partner := int32(e.pickN1.Next(e.r))
 	if partner >= p {
@@ -516,18 +201,10 @@ func (e *engine) rebalance(p int32) {
 	if e.ps.qlen[big] < e.ps.qlen[small] {
 		big, small = small, big
 	}
-	// big is the larger side; move tasks until it holds the ceiling half.
-	total := int(e.ps.qlen[big] + e.ps.qlen[small])
-	keep := (total + 1) / 2
+	keep := int(e.ps.qlen[big]+e.ps.qlen[small]+1) / 2
 	moved := int64(0)
 	for int(e.ps.qlen[big]) > keep {
-		arrival := e.ps.popBack(big)
-		e.ps.pushBack(small, arrival)
-		e.ps.emptyEpoch[small]++
-		if e.ps.qlen[small] == 1 {
-			e.markBusy(small)
-			e.scheduleDeparture(small)
-		}
+		e.enqueue(small, e.ps.popBack(big))
 		moved++
 	}
 	if moved > 0 {
@@ -536,58 +213,32 @@ func (e *engine) rebalance(p int32) {
 	}
 }
 
-// result returns the measurements of the last run (backend interface).
-func (e *engine) result() Result { return e.res }
-
-// stopCheckMask sets the cancellation polling cadence: the Stop flag is
-// loaded once every stopCheckMask+1 events. At ~100 ns/event that bounds
-// the reaction time to abandonment at well under a millisecond while
-// keeping the hot loop's per-event cost to one predictable nil test.
-const stopCheckMask = 4095
-
 // run is the main event loop.
 func (e *engine) run() {
 	o := &e.o
 	wallStart := time.Now()
-	for e.q.Len() > 0 {
+	for e.cal.Len() > 0 {
 		if o.Stop != nil && e.met.Events&stopCheckMask == stopCheckMask && o.Stop.Load() {
 			break
 		}
-		// The calendar's PopMin fast path inlines here (an index increment
-		// into the drain buffer); the heap oracle takes the dispatch hop.
-		var ev eventq.Event
-		if e.cal != nil {
-			ev = e.cal.PopMin()
-		} else {
-			ev = e.q.PopMin()
-		}
+		ev := e.cal.PopMin()
 		if ev.Time > o.Horizon {
 			break
 		}
-		e.accountLoad(ev.Time)
-		e.now = ev.Time
-		e.met.Events++
-
+		e.advance(ev.Time)
 		switch ev.Kind {
 		case evArrival:
 			if e.arrivals != nil {
-				p := int32(e.pickN.Next(e.r))
-				e.addTask(p, e.now)
+				e.addTask(int32(e.pickN.Next(e.r)), e.now)
 				e.met.Arrivals++
 				if t := e.arrivals.Next(e.now, e.r); !math.IsInf(t, 1) {
-					next := eventq.Event{Time: t, Kind: evArrival, Aux: 0}
-					if e.cal != nil {
-						e.cal.Push(next)
-					} else {
-						e.q.Push(next)
-					}
+					e.cal.Push(eventq.Event{Time: t, Kind: evArrival, Aux: 0})
 				}
 				break
 			}
 			class := int(ev.Aux)
 			ids := e.classProcs[class]
-			p := ids[e.classPick[class].Next(e.r)]
-			e.addTask(p, e.now)
+			e.addTask(ids[e.classPick[class].Next(e.r)], e.now)
 			e.met.Arrivals++
 			var rate float64
 			if o.Classes == nil {
@@ -595,12 +246,7 @@ func (e *engine) run() {
 			} else {
 				rate = o.Classes[class].Lambda * float64(len(ids))
 			}
-			next := eventq.Event{Time: e.now + e.r.Exp(rate), Kind: evArrival, Aux: ev.Aux}
-			if e.cal != nil {
-				e.cal.Push(next)
-			} else {
-				e.q.Push(next)
-			}
+			e.cal.Push(eventq.Event{Time: e.now + e.r.Exp(rate), Kind: evArrival, Aux: ev.Aux})
 
 		case evSpawn:
 			// Thinning: the spawn lands only if the sampled processor is
@@ -610,7 +256,7 @@ func (e *engine) run() {
 				e.addTask(p, e.now)
 				e.met.Spawns++
 			}
-			e.q.Push(eventq.Event{Time: e.now + e.r.Exp(o.LambdaInt*float64(o.N)), Kind: evSpawn})
+			e.cal.Push(eventq.Event{Time: e.now + e.r.Exp(o.LambdaInt*float64(o.N)), Kind: evSpawn})
 
 		case evDeparture:
 			e.completeTask(ev.Proc)
@@ -625,30 +271,19 @@ func (e *engine) run() {
 			}
 			e.met.Retries++
 			if !e.trySteal(p, 0) {
-				e.q.Push(eventq.Event{
-					Time:  e.now + e.r.Exp(o.RetryRate),
-					Kind:  evRetry,
-					Proc:  p,
-					Epoch: e.ps.emptyEpoch[p],
-				})
+				e.armRetry(p)
 			}
 
 		case evTransfer:
+			// The task was already counted in totalTasks while in flight.
 			p := ev.Proc
 			e.ps.awaiting[p] = false
 			e.met.TransfersCompleted++
-			// The task was already counted in totalTasks while in flight;
-			// hand it to the queue without recounting.
-			e.ps.pushBack(p, e.ps.inFlight[p])
-			e.ps.emptyEpoch[p]++
-			if e.ps.qlen[p] == 1 {
-				e.markBusy(p)
-				e.scheduleDeparture(p)
-			}
+			e.enqueue(p, e.ps.inFlight[p])
 
 		case evRebalance:
 			e.rebalance(ev.Proc)
-			e.q.Push(eventq.Event{Time: e.now + e.r.Exp(o.RebalanceRate), Kind: evRebalance, Proc: ev.Proc})
+			e.cal.Push(eventq.Event{Time: e.now + e.r.Exp(o.RebalanceRate), Kind: evRebalance, Proc: ev.Proc})
 
 		case evSample:
 			e.handleSample()
@@ -669,88 +304,6 @@ func (e *engine) run() {
 	if e.res.DrainTime < 0 && (o.Lambda > 0 || e.arrivals != nil) {
 		end = o.Horizon
 	}
-	e.accountLoad(end)
-	e.res.End = end
-
-	if e.res.Measured > 0 {
-		e.res.MeanSojourn = e.sojournSum / float64(e.res.Measured)
-	}
-	if span := end - o.Warmup; span > 0 {
-		e.res.MeanLoad = e.loadIntegral / span / float64(o.N)
-	}
-	if e.tails != nil {
-		e.res.Tails = e.tails.tails()
-	}
-	if e.series != nil {
-		e.res.SeriesTimes = e.series.times
-		e.res.SeriesLoads = e.series.loads
-	}
-	if e.sojournH != nil && e.sojournH.Count() > 0 {
-		e.res.P50 = e.sojournH.Quantile(0.50)
-		e.res.P95 = e.sojournH.Quantile(0.95)
-		e.res.P99 = e.sojournH.Quantile(0.99)
-	}
-	e.finishMetrics(end, time.Since(wallStart))
-}
-
-// finishMetrics closes the observability layer: it flushes open busy
-// periods, derives the rate and utilization fields, and mirrors the
-// counters into the legacy Result fields.
-func (e *engine) finishMetrics(end float64, wall time.Duration) {
-	o := &e.o
-	e.met.Duration = end
-	span := end - o.Warmup
-	e.met.Span = 0
-	if span > 0 {
-		e.met.Span = span
-	}
-
-	// Flush busy periods still open at the end of the run.
-	var busySum float64
-	e.met.PerProc = make([]metrics.ProcMetrics, o.N)
-	for i := 0; i < o.N; i++ {
-		if e.ps.qlen[i] > 0 {
-			from := e.ps.busySince[i]
-			if from < o.Warmup {
-				from = o.Warmup
-			}
-			if end > from {
-				e.ps.busyTime[i] += end - from
-			}
-		}
-		pm := &e.met.PerProc[i]
-		pm.StealAttempts = e.ps.stealAttempts[i]
-		pm.StealSuccesses = e.ps.stealSuccesses[i]
-		pm.BusyTime = e.ps.busyTime[i]
-		if span > 0 {
-			pm.Utilization = e.ps.busyTime[i] / span
-		}
-		busySum += e.ps.busyTime[i]
-	}
-	if span > 0 {
-		e.met.Utilization = busySum / span / float64(o.N)
-	}
-	e.met.TransfersInFlight = e.met.TransfersStarted - e.met.TransfersCompleted
-
-	if e.qhistSamples > 0 {
-		e.met.QueueHist = make([]float64, len(e.qhist))
-		denom := float64(e.qhistSamples) * float64(o.N)
-		for i, c := range e.qhist {
-			e.met.QueueHist[i] = float64(c) / denom
-		}
-		e.met.QueueHistSamples = e.qhistSamples
-	}
-
-	e.met.WallSeconds = wall.Seconds()
-	if e.met.WallSeconds > 0 {
-		e.met.EventsPerSec = float64(e.met.Events) / e.met.WallSeconds
-	}
-
-	// The pre-existing Result counters are now views of the metrics layer.
-	e.res.Arrived = e.met.Arrivals + e.met.Spawns
-	e.res.Completed = e.met.Departures
-	e.res.StealAttempts = e.met.StealAttempts
-	e.res.StealSuccesses = e.met.StealSuccesses
-	e.res.Rebalances = e.met.Rebalances
-	e.res.Metrics = e.met
+	e.finish(end, wallStart)
+	e.res.Arrived += e.met.Spawns // spawned tasks count as arrivals
 }

@@ -45,12 +45,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/eventq"
-	"repro/internal/metrics"
 	"repro/internal/ode"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // hybridFluidStep is the fluid tick: the bulk state advances by one RK4
@@ -116,19 +113,13 @@ func (tailsCoupler) EmptyingRate(x []float64) float64 {
 
 func (tailsCoupler) EmptyingRateBound() float64 { return 1 }
 
-// hybridEngine is the tracked-sample-plus-fluid backend.
+// hybridEngine is the tracked-sample-plus-fluid backend: the
+// tracked-processor core over the Tracked sample, plus the fluid bulk that
+// stands in for the other N − Tracked processors.
 type hybridEngine struct {
-	o   Options
-	r   *rng.Source
-	q   eventq.Q
-	cal *eventq.Calendar // q's calendar, non-nil iff it is the backend (see engine.cal)
-	ps  procSoA          // the tracked sample (struct-of-arrays, shared with the DES engine)
+	procCore
 
-	// Hot-path accelerators, mirroring the DES engine: direct exponential
-	// service sampling and a precomputed bounded sampler over the tracked
-	// population. Both leave every random stream byte-identical.
-	svcExp float64
-	pickT  rng.Bounded
+	pickT rng.Bounded // uniform draws over the tracked sample
 
 	// Fluid bulk. bulkTails and bulkTheta are snapshots of the coupler's
 	// tail vector and queue-emptying rate, refreshed after every fluid tick
@@ -146,47 +137,12 @@ type hybridEngine struct {
 	trackedFrac float64 // Tracked / N: chance a tracked thief picks a tracked victim
 	probeBound  float64 // merged thinning bound on the bulk probe process
 	alphaBar    float64 // per-processor bound on the fluid attempt rate α(t)
-
-	now          float64
-	totalTasks   int64
-	loadIntegral float64
-	loadSince    float64
-
-	res        Result
-	sojournSum float64
-	tails      *tailSampler
-	sojournH   *stats.Histogram
-	seriesT    []float64
-	seriesL    []float64
-
-	met          metrics.Metrics
-	sampleEvery  float64
-	qhist        []int64
-	qhistSamples int64
-
-	stealBuf []float64
 }
 
 // init prepares a fresh hybrid run of o on the given stream, recycling the
-// tracked-processor slice, event queue, and buffers of any previous run.
+// tracked-processor state, event queue, and buffers of any previous run.
 func (h *hybridEngine) init(o Options, stream *rng.Source) {
-	h.o = o
-	h.r = stream
-	h.now = 0
-	h.totalTasks = 0
-	h.loadIntegral = 0
-	h.loadSince = 0
-	h.res = Result{DrainTime: -1}
-	h.res.P50, h.res.P95, h.res.P99 = math.NaN(), math.NaN(), math.NaN()
-	h.sojournSum = 0
-	h.tails = nil
-	h.sojournH = nil
-	h.seriesT = nil
-	h.seriesL = nil
-	h.met = metrics.Metrics{}
-	h.sampleEvery = 0
-	h.qhist = nil
-	h.qhistSamples = 0
+	h.reset(o, stream, o.Tracked)
 
 	m, _, err := fluidModel(&o)
 	if err != nil {
@@ -201,17 +157,6 @@ func (h *hybridEngine) init(o Options, stream *rng.Source) {
 	h.x = m.Initial()
 	h.scratch = ode.NewRK4Scratch(m.Dim())
 	h.refreshBulk()
-
-	h.q.Configure(o.Queue, 4*o.Tracked)
-	h.cal = h.q.Cal()
-	h.ps.resize(o.Tracked)
-	if cap(h.stealBuf) == 0 {
-		h.stealBuf = make([]float64, 0, dequeArenaCap)
-	}
-	h.svcExp = 0
-	if ex, ok := o.Service.(dist.Exponential); ok {
-		h.svcExp = ex.Rate
-	}
 	h.pickT = rng.NewBounded(o.Tracked)
 
 	h.trackedFrac = float64(o.Tracked) / float64(o.N)
@@ -227,22 +172,18 @@ func (h *hybridEngine) init(o Options, stream *rng.Source) {
 	}
 
 	// Priming events: the merged arrival stream of the sample, the fluid
-	// tick chain, the probe chain, and the samplers.
-	h.q.Push(eventq.Event{Time: h.r.Exp(o.Lambda * float64(o.Tracked)), Kind: evArrival})
-	h.q.Push(eventq.Event{Time: hybridFluidStep, Kind: evFluid})
+	// tick chain, the probe chain, and the samplers. Unlike the DES engine,
+	// the series records its t = 0 point from an evSeries event.
+	h.cal.Push(eventq.Event{Time: h.r.Exp(o.Lambda * float64(o.Tracked)), Kind: evArrival})
+	h.cal.Push(eventq.Event{Time: hybridFluidStep, Kind: evFluid})
 	if h.probeBound > 0 {
-		h.q.Push(eventq.Event{Time: h.r.Exp(h.probeBound), Kind: evProbe})
+		h.cal.Push(eventq.Event{Time: h.r.Exp(h.probeBound), Kind: evProbe})
 	}
-	h.scheduleHybridSample()
+	h.scheduleSample()
 	if o.SeriesEvery > 0 {
-		h.q.Push(eventq.Event{Time: 0, Kind: evSeries})
-	}
-	if o.SojournHistMax > 0 {
-		h.sojournH = stats.NewHistogram(0, o.SojournHistMax, 1000)
+		h.cal.Push(eventq.Event{Time: 0, Kind: evSeries})
 	}
 }
-
-func (h *hybridEngine) result() Result { return h.res }
 
 // refreshBulk recomputes the tail and emptying-rate snapshots from the
 // fluid state; called whenever h.x changes (init and every fluid tick).
@@ -275,91 +216,6 @@ func (h *hybridEngine) alpha() float64 {
 	return a
 }
 
-// accountLoad integrates the tracked total-load process up to time t.
-func (h *hybridEngine) accountLoad(t float64) {
-	if t <= h.o.Warmup {
-		return
-	}
-	from := h.loadSince
-	if from < h.o.Warmup {
-		from = h.o.Warmup
-	}
-	if t > from {
-		h.loadIntegral += float64(h.totalTasks) * (t - from)
-	}
-	h.loadSince = t
-}
-
-func (h *hybridEngine) markBusy(p int32) { h.ps.busySince[p] = h.now }
-
-func (h *hybridEngine) markIdle(p int32) {
-	from := h.ps.busySince[p]
-	if from < h.o.Warmup {
-		from = h.o.Warmup
-	}
-	if h.now > from {
-		h.ps.busyTime[p] += h.now - from
-	}
-}
-
-// addTask enqueues a task at tracked processor p.
-func (h *hybridEngine) addTask(p int32, arrival float64) {
-	h.ps.pushBack(p, arrival)
-	h.ps.emptyEpoch[p]++
-	h.totalTasks++
-	if h.ps.qlen[p] == 1 {
-		h.markBusy(p)
-		h.scheduleDeparture(p)
-	}
-}
-
-func (h *hybridEngine) scheduleDeparture(p int32) {
-	if h.ps.qlen[p] == 0 {
-		return
-	}
-	var s float64
-	if h.svcExp > 0 {
-		s = h.r.Exp(h.svcExp)
-	} else {
-		s = h.o.Service.Sample(h.r)
-	}
-	s /= h.ps.rate[p]
-	dep := eventq.Event{Time: h.now + s, Kind: evDeparture, Proc: p}
-	if h.cal != nil {
-		h.cal.Push(dep)
-	} else {
-		h.q.Push(dep)
-	}
-}
-
-func (h *hybridEngine) completeTask(p int32) {
-	arrival := h.ps.popFront(p)
-	h.totalTasks--
-	h.met.Departures++
-	if arrival >= h.o.Warmup {
-		sj := h.now - arrival
-		h.sojournSum += sj
-		h.res.Measured++
-		if h.sojournH != nil {
-			h.sojournH.Add(sj)
-		}
-	}
-	if h.ps.qlen[p] > 0 {
-		h.scheduleDeparture(p)
-	} else {
-		h.markIdle(p)
-	}
-}
-
-// stealCount returns how many tasks a successful steal takes from a
-// load-j victim.
-func (h *hybridEngine) stealCount(load int) int {
-	if h.o.Half {
-		return (load + 1) / 2
-	}
-	return h.o.K
-}
-
 // sampleBulkLoad draws a bulk victim's queue length conditional on being
 // at or above the threshold: P(j ≥ l | j ≥ T) = s_l / s_T.
 func (h *hybridEngine) sampleBulkLoad() int {
@@ -381,35 +237,14 @@ func (h *hybridEngine) sampleBulkLoad() int {
 // self-draws included, mirroring the DES victim sampler); otherwise the
 // attempt is resolved against the fluid tails.
 func (h *hybridEngine) trySteal(thief int32) bool {
-	h.met.StealAttempts++
-	h.ps.stealAttempts[thief]++
+	h.countAttempt(thief)
 	if h.r.Float64() < h.trackedFrac {
 		v := int32(h.pickT.Next(h.r))
 		load := int(h.ps.qlen[v])
-		if load < h.o.T || load < 2 {
-			if load < 2 {
-				h.met.StealFailEmpty++
-			} else {
-				h.met.StealFailThreshold++
-			}
+		if !h.judgeSteal(thief, load, h.o.T) {
 			return false
 		}
-		h.met.StealSuccesses++
-		h.ps.stealSuccesses[thief]++
-		k := h.stealCount(load)
-		tmp := h.stealBuf[:0]
-		for j := 0; j < k; j++ {
-			tmp = append(tmp, h.ps.popBack(v))
-		}
-		h.stealBuf = tmp
-		for j := len(tmp) - 1; j >= 0; j-- {
-			h.ps.pushBack(thief, tmp[j])
-			h.ps.emptyEpoch[thief]++
-			if h.ps.qlen[thief] == 1 {
-				h.markBusy(thief)
-				h.scheduleDeparture(thief)
-			}
-		}
+		h.moveTail(v, thief, h.stealCount(load))
 		return true
 	}
 	// Bulk victim: one uniform draw against the fluid tail resolves the
@@ -439,22 +274,11 @@ func (h *hybridEngine) trySteal(thief int32) bool {
 // afterCompletion mirrors the DES policy hook: an emptied tracked
 // processor attempts a steal, and arms a retry on failure.
 func (h *hybridEngine) afterCompletion(p int32) {
-	if h.o.Policy != PolicySteal {
-		return
-	}
-	if h.ps.qlen[p] > 0 {
+	if h.o.Policy != PolicySteal || h.ps.qlen[p] > 0 {
 		return // B = 0: only emptied processors steal
 	}
-	if h.trySteal(p) {
-		return
-	}
-	if h.o.RetryRate > 0 && h.ps.qlen[p] == 0 {
-		h.q.Push(eventq.Event{
-			Time:  h.now + h.r.Exp(h.o.RetryRate),
-			Kind:  evRetry,
-			Proc:  p,
-			Epoch: h.ps.emptyEpoch[p],
-		})
+	if !h.trySteal(p) && h.o.RetryRate > 0 && h.ps.qlen[p] == 0 {
+		h.armRetry(p)
 	}
 }
 
@@ -481,93 +305,24 @@ func (h *hybridEngine) probe() {
 	h.met.BulkStolenTasks += int64(k)
 }
 
-// scheduleHybridSample arms the shared tail/queue-histogram chain.
-func (h *hybridEngine) scheduleHybridSample() {
-	o := &h.o
-	if o.TailDepth <= 0 && o.QueueHistDepth <= 0 {
-		return
-	}
-	every := o.TailEvery
-	if every <= 0 {
-		every = (o.Horizon - o.Warmup) / 1000
-		if every <= 0 {
-			every = 1
-		}
-	}
-	h.sampleEvery = every
-	if o.TailDepth > 0 {
-		h.tails = newTailSampler(o.TailDepth)
-	}
-	if o.QueueHistDepth > 0 {
-		h.qhist = make([]int64, o.QueueHistDepth)
-	}
-	h.q.Push(eventq.Event{Time: o.Warmup + every, Kind: evSample})
-}
-
-func (h *hybridEngine) handleSample() {
-	if h.tails != nil {
-		h.tails.sample(h.ps.qlen)
-		h.tails.nSamples++
-	}
-	if h.qhist != nil {
-		top := len(h.qhist) - 1
-		for _, ql := range h.ps.qlen {
-			l := int(ql)
-			if l > top {
-				l = top
-			}
-			h.qhist[l]++
-		}
-		h.qhistSamples++
-	}
-	next := h.now + h.sampleEvery
-	if next <= h.o.Horizon {
-		h.q.Push(eventq.Event{Time: next, Kind: evSample})
-	}
-}
-
-func (h *hybridEngine) handleSeries() {
-	h.seriesT = append(h.seriesT, h.now)
-	h.seriesL = append(h.seriesL, float64(h.totalTasks)/float64(h.o.Tracked))
-	next := h.now + h.o.SeriesEvery
-	if next <= h.o.Horizon {
-		h.q.Push(eventq.Event{Time: next, Kind: evSeries})
-	}
-}
-
 // run is the hybrid main loop.
 func (h *hybridEngine) run() {
 	o := &h.o
 	wallStart := time.Now()
-	for h.q.Len() > 0 {
+	for h.cal.Len() > 0 {
 		if o.Stop != nil && h.met.Events&stopCheckMask == stopCheckMask && o.Stop.Load() {
 			break
 		}
-		// See engine.run: the calendar PopMin fast path inlines here.
-		var ev eventq.Event
-		if h.cal != nil {
-			ev = h.cal.PopMin()
-		} else {
-			ev = h.q.PopMin()
-		}
+		ev := h.cal.PopMin()
 		if ev.Time > o.Horizon {
 			break
 		}
-		h.accountLoad(ev.Time)
-		h.now = ev.Time
-		h.met.Events++
-
+		h.advance(ev.Time)
 		switch ev.Kind {
 		case evArrival:
-			p := int32(h.pickT.Next(h.r))
-			h.addTask(p, h.now)
+			h.addTask(int32(h.pickT.Next(h.r)), h.now)
 			h.met.Arrivals++
-			next := eventq.Event{Time: h.now + h.r.Exp(o.Lambda*float64(o.Tracked)), Kind: evArrival}
-			if h.cal != nil {
-				h.cal.Push(next)
-			} else {
-				h.q.Push(next)
-			}
+			h.cal.Push(eventq.Event{Time: h.now + h.r.Exp(o.Lambda*float64(o.Tracked)), Kind: evArrival})
 
 		case evDeparture:
 			h.completeTask(ev.Proc)
@@ -581,12 +336,7 @@ func (h *hybridEngine) run() {
 			}
 			h.met.Retries++
 			if !h.trySteal(p) {
-				h.q.Push(eventq.Event{
-					Time:  h.now + h.r.Exp(o.RetryRate),
-					Kind:  evRetry,
-					Proc:  p,
-					Epoch: h.ps.emptyEpoch[p],
-				})
+				h.armRetry(p)
 			}
 
 		case evFluid:
@@ -595,12 +345,12 @@ func (h *hybridEngine) run() {
 			h.refreshBulk()
 			next := h.now + hybridFluidStep
 			if next <= o.Horizon {
-				h.q.Push(eventq.Event{Time: next, Kind: evFluid})
+				h.cal.Push(eventq.Event{Time: next, Kind: evFluid})
 			}
 
 		case evProbe:
 			h.probe()
-			h.q.Push(eventq.Event{Time: h.now + h.r.Exp(h.probeBound), Kind: evProbe})
+			h.cal.Push(eventq.Event{Time: h.now + h.r.Exp(h.probeBound), Kind: evProbe})
 
 		case evSample:
 			h.handleSample()
@@ -609,83 +359,5 @@ func (h *hybridEngine) run() {
 			h.handleSeries()
 		}
 	}
-	end := o.Horizon
-	h.accountLoad(end)
-	h.res.End = end
-
-	if h.res.Measured > 0 {
-		h.res.MeanSojourn = h.sojournSum / float64(h.res.Measured)
-	}
-	if span := end - o.Warmup; span > 0 {
-		h.res.MeanLoad = h.loadIntegral / span / float64(o.Tracked)
-	}
-	if h.tails != nil {
-		h.res.Tails = h.tails.tails()
-	}
-	h.res.SeriesTimes = h.seriesT
-	h.res.SeriesLoads = h.seriesL
-	if h.sojournH != nil && h.sojournH.Count() > 0 {
-		h.res.P50 = h.sojournH.Quantile(0.50)
-		h.res.P95 = h.sojournH.Quantile(0.95)
-		h.res.P99 = h.sojournH.Quantile(0.99)
-	}
-	h.finishMetrics(end, time.Since(wallStart))
-}
-
-// finishMetrics closes the observability layer over the tracked sample:
-// per-processor entries, utilization, and the queue histogram are all
-// normalized by Tracked, the number of processors actually measured.
-func (h *hybridEngine) finishMetrics(end float64, wall time.Duration) {
-	o := &h.o
-	h.met.Duration = end
-	span := end - o.Warmup
-	h.met.Span = 0
-	if span > 0 {
-		h.met.Span = span
-	}
-
-	var busySum float64
-	h.met.PerProc = make([]metrics.ProcMetrics, o.Tracked)
-	for i := 0; i < o.Tracked; i++ {
-		if h.ps.qlen[i] > 0 {
-			from := h.ps.busySince[i]
-			if from < o.Warmup {
-				from = o.Warmup
-			}
-			if end > from {
-				h.ps.busyTime[i] += end - from
-			}
-		}
-		pm := &h.met.PerProc[i]
-		pm.StealAttempts = h.ps.stealAttempts[i]
-		pm.StealSuccesses = h.ps.stealSuccesses[i]
-		pm.BusyTime = h.ps.busyTime[i]
-		if span > 0 {
-			pm.Utilization = h.ps.busyTime[i] / span
-		}
-		busySum += h.ps.busyTime[i]
-	}
-	if span > 0 {
-		h.met.Utilization = busySum / span / float64(o.Tracked)
-	}
-
-	if h.qhistSamples > 0 {
-		h.met.QueueHist = make([]float64, len(h.qhist))
-		denom := float64(h.qhistSamples) * float64(o.Tracked)
-		for i, c := range h.qhist {
-			h.met.QueueHist[i] = float64(c) / denom
-		}
-		h.met.QueueHistSamples = h.qhistSamples
-	}
-
-	h.met.WallSeconds = wall.Seconds()
-	if h.met.WallSeconds > 0 {
-		h.met.EventsPerSec = float64(h.met.Events) / h.met.WallSeconds
-	}
-
-	h.res.Arrived = h.met.Arrivals
-	h.res.Completed = h.met.Departures
-	h.res.StealAttempts = h.met.StealAttempts
-	h.res.StealSuccesses = h.met.StealSuccesses
-	h.res.Metrics = h.met
+	h.finish(o.Horizon, wallStart)
 }

@@ -10,32 +10,18 @@ import "repro/internal/eventq"
 // draining a static system — can be laid directly over the integrated
 // differential equations.
 
-// seriesSampler records mean-load snapshots on a fixed time grid.
-type seriesSampler struct {
-	every float64
-	times []float64
-	loads []float64
-}
-
-// scheduleSeries arms the series chain at t = 0 (the initial state is
-// recorded immediately).
-func (e *engine) scheduleSeries() {
-	if e.o.SeriesEvery <= 0 {
-		return
-	}
-	e.series = &seriesSampler{every: e.o.SeriesEvery}
-	e.series.times = append(e.series.times, 0)
-	e.series.loads = append(e.series.loads, float64(e.totalTasks)/float64(e.o.N))
-	e.q.Push(eventq.Event{Time: e.o.SeriesEvery, Kind: evSeries})
+// recordSeries appends one mean-load snapshot at the current time.
+func (c *procCore) recordSeries() {
+	c.seriesT = append(c.seriesT, c.now)
+	c.seriesL = append(c.seriesL, float64(c.totalTasks)/float64(c.nproc))
 }
 
 // handleSeries records a snapshot and re-arms the chain.
-func (e *engine) handleSeries() {
-	e.series.times = append(e.series.times, e.now)
-	e.series.loads = append(e.series.loads, float64(e.totalTasks)/float64(e.o.N))
-	next := e.now + e.series.every
-	if next <= e.o.Horizon {
-		e.q.Push(eventq.Event{Time: next, Kind: evSeries})
+func (c *procCore) handleSeries() {
+	c.recordSeries()
+	next := c.now + c.o.SeriesEvery
+	if next <= c.o.Horizon {
+		c.cal.Push(eventq.Event{Time: next, Kind: evSeries})
 	}
 }
 

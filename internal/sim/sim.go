@@ -23,10 +23,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/dist"
-	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -65,14 +65,6 @@ type Options struct {
 	// the remaining N−Tracked processors are represented by the fluid
 	// state. Must be 0 for the other engines.
 	Tracked int
-	// Queue selects the future-event-list backend for the DES and hybrid
-	// engines: eventq.BackendCalendar (the default — O(1) amortized
-	// calendar queue) or eventq.BackendHeap (the O(log n) binary heap,
-	// kept as the correctness oracle). The two backends produce identical
-	// pop sequences, FIFO tie-breaks included, so every fixed-seed result
-	// is byte-identical under either; the choice is purely a performance
-	// knob. Ignored by EngineFluid, which schedules no events.
-	Queue eventq.Backend
 	// N is the number of processors (≥ 2 when stealing is enabled).
 	N int
 	// Lambda is the external per-processor Poisson task arrival rate.
@@ -230,11 +222,49 @@ func (o *Options) hasArrivals() bool {
 	return false
 }
 
+// NonFiniteError reports an option holding NaN or ±Inf. Event times are
+// derived from the rates and times in Options, and the event queue orders
+// finite times only, so Validate rejects such values up front.
+type NonFiniteError struct {
+	Field string // option name, e.g. "Horizon" or "Classes[1].Lambda"
+	Value float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("sim: %s must be finite, got %v", e.Field, e.Value)
+}
+
+// namedValue is one float option, as checked by checkFinite.
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// checkFinite returns a *NonFiniteError for the first NaN or ±Inf value,
+// naming it prefix+name.
+func checkFinite(prefix string, vals ...namedValue) error {
+	for _, f := range vals {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &NonFiniteError{Field: prefix + f.name, Value: f.v}
+		}
+	}
+	return nil
+}
+
 // Validate checks the option combination and returns a descriptive error
 // for unusable configurations.
 func (o *Options) Validate() error {
 	if o.N < 1 {
 		return fmt.Errorf("sim: need N >= 1, got %d", o.N)
+	}
+	if err := checkFinite("",
+		namedValue{"Lambda", o.Lambda}, namedValue{"LambdaInt", o.LambdaInt},
+		namedValue{"RetryRate", o.RetryRate}, namedValue{"TransferRate", o.TransferRate},
+		namedValue{"RebalanceRate", o.RebalanceRate}, namedValue{"Warmup", o.Warmup},
+		namedValue{"Horizon", o.Horizon}, namedValue{"TailEvery", o.TailEvery},
+		namedValue{"SeriesEvery", o.SeriesEvery}, namedValue{"SojournHistMax", o.SojournHistMax},
+	); err != nil {
+		return err
 	}
 	if o.Lambda < 0 || o.LambdaInt < 0 {
 		return fmt.Errorf("sim: negative arrival rate")
@@ -305,6 +335,11 @@ func (o *Options) Validate() error {
 	if o.Classes != nil {
 		var sum float64
 		for i, c := range o.Classes {
+			if err := checkFinite(fmt.Sprintf("Classes[%d].", i),
+				namedValue{"Frac", c.Frac}, namedValue{"Lambda", c.Lambda}, namedValue{"Rate", c.Rate},
+			); err != nil {
+				return err
+			}
 			if c.Frac <= 0 || c.Rate <= 0 || c.Lambda < 0 {
 				return fmt.Errorf("sim: invalid class %d: %+v", i, c)
 			}
@@ -384,6 +419,6 @@ type Result struct {
 	// Metrics holds the full observability layer of the run: event
 	// counters by kind and cause, per-processor steal counts and busy-time
 	// utilization, the sampled queue-length histogram (when
-	// Options.QueueHistDepth is set), and event-loop throughput.
+	// QueueHistDepth is set in Options), and event-loop throughput.
 	Metrics metrics.Metrics
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -45,6 +46,57 @@ func TestValidate(t *testing.T) {
 	good := quickOpts(4, 0.5)
 	if err := good.Validate(); err != nil {
 		t.Errorf("good options rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite pins the finiteness precondition of the
+// event queue: every float option must be finite. Before Validate enforced
+// it, a NaN Horizon or RebalanceRate passed and the run never ended.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		set   func(o *Options)
+	}{
+		{"Horizon", func(o *Options) { o.Horizon = nan }},
+		{"Horizon", func(o *Options) { o.Horizon = inf }},
+		{"Warmup", func(o *Options) { o.Warmup = nan }},
+		{"Warmup", func(o *Options) { o.Warmup = -inf }},
+		{"Lambda", func(o *Options) { o.Lambda = inf }},
+		{"Lambda", func(o *Options) { o.Lambda = nan }},
+		{"LambdaInt", func(o *Options) { o.LambdaInt = nan }},
+		{"LambdaInt", func(o *Options) { o.LambdaInt = inf }},
+		{"RetryRate", func(o *Options) { o.RetryRate = nan }},
+		{"RetryRate", func(o *Options) { o.RetryRate = inf }},
+		{"TransferRate", func(o *Options) { o.TransferRate = nan }},
+		{"TransferRate", func(o *Options) { o.TransferRate = inf }},
+		{"RebalanceRate", func(o *Options) { o.Policy = PolicyRebalance; o.RebalanceRate = nan }},
+		{"RebalanceRate", func(o *Options) { o.Policy = PolicyRebalance; o.RebalanceRate = inf }},
+		{"TailEvery", func(o *Options) { o.TailDepth = 4; o.TailEvery = nan }},
+		{"SeriesEvery", func(o *Options) { o.SeriesEvery = inf }},
+		{"SojournHistMax", func(o *Options) { o.SojournHistMax = nan }},
+		{"Classes[1].Lambda", func(o *Options) {
+			o.Lambda = 0
+			o.Classes = []Class{{Frac: 0.5, Lambda: 0.5, Rate: 1}, {Frac: 0.5, Lambda: inf, Rate: 1}}
+		}},
+		{"Classes[0].Frac", func(o *Options) {
+			o.Lambda = 0
+			o.Classes = []Class{{Frac: nan, Lambda: 0.5, Rate: 1}}
+		}},
+	}
+	for _, c := range cases {
+		o := Options{N: 8, Lambda: 0.5, Service: dist.NewExponential(1), Policy: PolicySteal,
+			T: 2, D: 1, K: 1, Horizon: 100, Warmup: 10}
+		c.set(&o)
+		err := o.Validate()
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) {
+			t.Errorf("%s: Validate() = %v, want a *NonFiniteError", c.field, err)
+			continue
+		}
+		if nf.Field != c.field {
+			t.Errorf("%s: error names field %q (%v)", c.field, nf.Field, err)
+		}
 	}
 }
 

@@ -1,23 +1,34 @@
 #!/usr/bin/env sh
-# Regenerate the repository's performance record.
+# Measure the steady-state engine throughput and write a performance record.
 #
-#   scripts/bench.sh [extra wsbench flags...]
+#   scripts/bench.sh [OUT.json] [extra wsbench flags...]
 #
-# Writes BENCH_PR10.json at the repo root (ns/event and allocs/event for the
-# steady-state engine configurations, plus Table 1-4 wall times at 1 worker
-# vs GOMAXPROCS) and then runs the Go micro-benchmarks once for a quick
-# smoke reading. Commit the refreshed JSON alongside performance changes.
+# Writes OUT.json (default bench-latest.json at the repo root, which git
+# ignores) with ns/event and allocs/event for the steady-state engine
+# configurations plus Table 1-4 wall times at 1 worker vs GOMAXPROCS, then
+# runs the Go micro-benchmarks once for a quick smoke reading. The
+# committed BENCH_PR*.json records are never overwritten unless named
+# explicitly as OUT.json.
 #
-# To gate against the previous record instead of eyeballing it, pass the
+# To gate against a committed record instead of eyeballing it, pass the
 # comparison flags through to wsbench — the script exits non-zero if any
 # throughput config regressed past the threshold (25% by default, sized to
 # ride out shared-machine jitter while catching real cliffs):
 #
 #   scripts/bench.sh -compare BENCH_PR8.json
-#   scripts/bench.sh -compare BENCH_PR8.json -maxregress 0.10
+#   scripts/bench.sh out.json -compare BENCH_PR8.json -maxregress 0.10
 set -eu
 cd "$(dirname "$0")/.."
 
-go run ./cmd/wsbench -out BENCH_PR10.json "$@"
+out=bench-latest.json
+case "${1:-}" in
+"" | -*) ;;
+*)
+	out=$1
+	shift
+	;;
+esac
+
+go run ./cmd/wsbench -out "$out" "$@"
 echo
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput|BenchmarkRunnerReuse|BenchmarkPolicySimpleSteal|BenchmarkStealHalf|BenchmarkCalendarPushPop' -benchmem ./internal/sim/ ./internal/eventq/ .
