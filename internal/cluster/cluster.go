@@ -93,7 +93,6 @@ type Node struct {
 	client *http.Client
 	chaos  *chaos.Injector
 	log    *slog.Logger
-	met    *nodeMetrics
 	reg    *registry
 
 	peers  []*peer
@@ -106,6 +105,30 @@ type Node struct {
 	draining   atomic.Bool
 	standalone atomic.Bool
 	stealing   atomic.Bool
+
+	prom *metrics.Registry
+	// met holds the handles of the node's metric families (see
+	// registerMetrics); they move once per RPC or steal batch, never per
+	// simulated event.
+	met struct {
+		gossip           metrics.Vec[*metrics.Counter] // {outcome, peer}
+		stealProbes      *metrics.Counter              // steal RPCs sent (thief side)
+		stealHedges      *metrics.Counter              // hedged second probes fired
+		stealEmpty       *metrics.Counter              // probes answered with no work
+		stealBatches     *metrics.Counter              // non-empty grants received (thief side)
+		stolenReps       *metrics.Counter              // replications received in grants (thief side)
+		grantedBatches   *metrics.Counter              // non-empty leases granted (victim side)
+		grantedReps      *metrics.Counter              // replications leased out (victim side)
+		completionPosts  *metrics.Counter              // completion RPCs attempted, retries included
+		completionFails  *metrics.Counter              // completion batches abandoned after retries
+		acceptedReps     *metrics.Counter              // completions accepted by cells
+		rejectedReps     *metrics.Counter              // completions rejected (duplicate / revoked lease)
+		reclaimedReps    *metrics.Counter              // replications taken back by the lease sweeper
+		forwards         *metrics.Counter              // requests proxied to their hash owner
+		forwardFallbacks *metrics.Counter              // forward failures served by local compute
+		forwardedIn      *metrics.Counter              // forwarded requests served for peers
+		rpcDropped       *metrics.Counter              // RPCs dropped by an injected partition
+	}
 }
 
 // New builds a Node from cfg. The node is inert until Start.
@@ -159,7 +182,6 @@ func New(cfg Config) (*Node, error) {
 		client: cfg.Client,
 		chaos:  cfg.Chaos,
 		log:    cfg.Logger,
-		met:    newNodeMetrics(),
 		reg:    newRegistry(),
 		byURL:  make(map[string]*peer),
 		stop:   make(chan struct{}),
@@ -180,6 +202,7 @@ func New(cfg Config) (*Node, error) {
 		n.member = append(n.member, p.url)
 	}
 	sort.Strings(n.member)
+	n.registerMetrics()
 	// Until the first gossip round proves otherwise, a node with peers
 	// assumes it is isolated; a node without peers simply is.
 	n.standalone.Store(true)
@@ -249,11 +272,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("cluster: %s, %d/%d peers healthy", mode, s.Healthy, s.Peers)
 }
 
-// EmitProm renders the cluster metrics into the daemon's exposition.
-func (n *Node) EmitProm(p *metrics.PromWriter) {
-	n.met.emit(p, n.peers, n.standalone.Load())
-}
-
 // Offer registers an in-flight simulate computation as stealable and
 // returns its release func (call when the computation resolves). spec must
 // already be normalized — it is shipped verbatim to thieves, and both
@@ -262,11 +280,15 @@ func (n *Node) Offer(key string, spec experiments.SimSpec, cell *sched.Cell) fun
 	return n.reg.add(key, spec, cell)
 }
 
-// NoteForwardedIn counts a forwarded request served on a peer's behalf
-// (the serving layer detects the forwarded header; the count lives here
-// with the rest of the cluster metrics).
-func (n *Node) NoteForwardedIn() {
-	n.met.add(func(m *nodeMetrics) { m.forwardedIn++ })
+// ForwardedIn reports whether r is a peer's forward of a cached request,
+// counting it if so. Such a request is served here and never forwarded
+// again, which caps every forward at one hop.
+func (n *Node) ForwardedIn(r *http.Request) bool {
+	if r.Header.Get(forwardedHeader) == "" {
+		return false
+	}
+	n.met.forwardedIn.Inc()
+	return true
 }
 
 // ForwardResult is a relayed peer response.
@@ -297,12 +319,12 @@ func (n *Node) Forward(ctx context.Context, route, key string, body []byte) (For
 	defer cancel()
 	status, respBody, err := n.rpc(rctx, p, http.MethodPost, route, "application/json", body, true)
 	if err != nil || status >= http.StatusInternalServerError {
-		n.met.add(func(m *nodeMetrics) { m.forwardFallbacks++ })
+		n.met.forwardFallbacks.Inc()
 		n.log.Warn("forward fell back to local compute",
 			"route", route, "owner", ownerURL, "status", status, "err", errString(err))
 		return ForwardResult{}, false
 	}
-	n.met.add(func(m *nodeMetrics) { m.forwards++ })
+	n.met.forwards.Inc()
 	return ForwardResult{Status: status, Body: respBody}, true
 }
 
@@ -328,7 +350,7 @@ func (n *Node) loop() {
 		case <-t.C:
 			n.gossip()
 			if reclaimed := n.reg.sweep(n.cfg.Now()); reclaimed > 0 {
-				n.met.add(func(m *nodeMetrics) { m.reclaimedReps += int64(reclaimed) })
+				n.met.reclaimedReps.Add(int64(reclaimed))
 				n.log.Warn("reclaimed expired lease slots", "reps", reclaimed)
 			}
 			n.maybeSteal()
@@ -352,12 +374,12 @@ func (n *Node) gossip() {
 				var rep loadReport
 				if derr := decodeJSON(body, &rep); derr == nil {
 					p.observe(true, rep.Pending, rep.Draining)
-					n.met.add(func(m *nodeMetrics) { m.gossipOK[p.url]++ })
+					n.met.gossip.With("ok", p.url).Inc()
 					return
 				}
 			}
 			p.observe(false, 0, false)
-			n.met.add(func(m *nodeMetrics) { m.gossipFail[p.url]++ })
+			n.met.gossip.With("fail", p.url).Inc()
 		}()
 	}
 	wg.Wait()
@@ -446,7 +468,7 @@ func (n *Node) stealRound(best, second *peer) {
 		}
 	case <-hedge.C:
 		if second != nil {
-			n.met.add(func(m *nodeMetrics) { m.stealHedges++ })
+			n.met.stealHedges.Inc()
 			go probe(second)
 			outstanding++
 		}
@@ -466,7 +488,7 @@ func (n *Node) stealRound(best, second *peer) {
 // probeSteal asks one victim for a batch; nil means no work (or no
 // answer).
 func (n *Node) probeSteal(p *peer) *stealGrant {
-	n.met.add(func(m *nodeMetrics) { m.stealProbes++ })
+	n.met.stealProbes.Inc()
 	rctx, cancel := n.rpcTimeout(context.Background())
 	defer cancel()
 	body, err := encodeJSON(stealRequest{Want: n.cfg.StealBatch})
@@ -479,13 +501,11 @@ func (n *Node) probeSteal(p *peer) *stealGrant {
 	}
 	var g stealGrant
 	if err := decodeJSON(respBody, &g); err != nil || g.Key == "" || len(g.Indices) == 0 {
-		n.met.add(func(m *nodeMetrics) { m.stealEmpty++ })
+		n.met.stealEmpty.Inc()
 		return nil
 	}
-	n.met.add(func(m *nodeMetrics) {
-		m.stealBatches++
-		m.stolenReps += int64(len(g.Indices))
-	})
+	n.met.stealBatches.Inc()
+	n.met.stolenReps.Add(int64(len(g.Indices)))
 	return &g
 }
 
@@ -533,7 +553,7 @@ func (n *Node) execute(p *peer, g *stealGrant) {
 	ctx, cancel := context.WithDeadline(context.Background(), g.deadline(n.cfg.Now()))
 	defer cancel()
 	err = n.cfg.Retry.Do(ctx, func(ctx context.Context) error {
-		n.met.add(func(m *nodeMetrics) { m.completionPosts++ })
+		n.met.completionPosts.Inc()
 		rctx, rcancel := n.rpcTimeout(ctx)
 		defer rcancel()
 		status, respBody, rerr := n.rpc(rctx, p, http.MethodPost, "/v1/cluster/complete", "application/x-gob", payload, false)
@@ -546,7 +566,7 @@ func (n *Node) execute(p *peer, g *stealGrant) {
 		return nil
 	})
 	if err != nil {
-		n.met.add(func(m *nodeMetrics) { m.completionFails++ })
+		n.met.completionFails.Inc()
 		n.log.Warn("completion abandoned; victim will reclaim the lease",
 			"key", g.Key, "lease", g.Lease, "err", err.Error())
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -205,13 +204,9 @@ func TestStealEndToEnd(t *testing.T) {
 	}
 
 	// Both sides' metrics saw the traffic.
-	vm, tm := h.nodes[0].met, h.nodes[1].met
-	vm.mu.Lock()
-	granted, accepted := vm.grantedReps, vm.acceptedReps
-	vm.mu.Unlock()
-	tm.mu.Lock()
-	stolen := tm.stolenReps
-	tm.mu.Unlock()
+	vm, tm := &h.nodes[0].met, &h.nodes[1].met
+	granted, accepted := vm.grantedReps.Value(), vm.acceptedReps.Value()
+	stolen := tm.stolenReps.Value()
 	if granted != 8 || accepted != 8 || stolen != 8 {
 		t.Fatalf("metrics granted=%d accepted=%d stolen=%d, want 8/8/8", granted, accepted, stolen)
 	}
@@ -401,12 +396,8 @@ func TestStandaloneDegradation(t *testing.T) {
 		t.Fatalf("status line = %q, want standalone 0/1", got)
 	}
 
-	p := metrics.NewPromWriter()
-	h.nodes[0].EmitProm(p)
-	var buf bytes.Buffer
-	p.WriteTo(&buf)
-	if !strings.Contains(buf.String(), "wsserved_cluster_standalone 1") {
-		t.Fatalf("metrics missing standalone gauge:\n%s", buf.String())
+	if text := exposition(h.nodes[0]); !strings.Contains(text, "wsserved_cluster_standalone 1") {
+		t.Fatalf("metrics missing standalone gauge:\n%s", text)
 	}
 }
 
@@ -417,7 +408,7 @@ func TestForwardRouting(t *testing.T) {
 	var gotForwarded, gotFrom string
 	h := newHarness(t, 2, nil, nil)
 	h.muxes[1].HandleFunc("POST /v1/fixedpoint", func(w http.ResponseWriter, r *http.Request) {
-		gotForwarded = r.Header.Get(ForwardedHeader)
+		gotForwarded = r.Header.Get(forwardedHeader)
 		gotFrom = r.Header.Get(fromHeader)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"answer": 42}`)
@@ -446,6 +437,17 @@ func TestForwardRouting(t *testing.T) {
 		t.Fatal("Forward proxied a self-owned key")
 	}
 
+	// The owner side: only a request carrying the forwarded header counts
+	// as served on a peer's behalf.
+	in := httptest.NewRequest(http.MethodPost, "/v1/fixedpoint", nil)
+	if h.nodes[1].ForwardedIn(in) {
+		t.Fatal("a client request was taken for a peer's forward")
+	}
+	in.Header.Set(forwardedHeader, "1")
+	if !h.nodes[1].ForwardedIn(in) || h.nodes[1].met.forwardedIn.Value() != 1 {
+		t.Fatalf("forwarded request not counted: forwarded_in = %d", h.nodes[1].met.forwardedIn.Value())
+	}
+
 	// Partition the link: Forward must fall back to local compute.
 	h2 := newHarness(t, 2, nil, func(i int, cfg *Config) {
 		if i == 0 {
@@ -464,9 +466,7 @@ func TestForwardRouting(t *testing.T) {
 	if _, ok := h2.nodes[0].Forward(context.Background(), "/v1/fixedpoint", key, []byte(`{}`)); ok {
 		t.Fatal("Forward succeeded across an injected partition")
 	}
-	h2.nodes[0].met.mu.Lock()
-	dropped, fallbacks := h2.nodes[0].met.rpcDropped, h2.nodes[0].met.forwardFallbacks
-	h2.nodes[0].met.mu.Unlock()
+	dropped, fallbacks := h2.nodes[0].met.rpcDropped.Value(), h2.nodes[0].met.forwardFallbacks.Value()
 	if dropped == 0 || fallbacks == 0 {
 		t.Fatalf("partition drop not counted: dropped=%d fallbacks=%d", dropped, fallbacks)
 	}

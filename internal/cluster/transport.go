@@ -22,9 +22,9 @@ import (
 // success.
 
 const (
-	// ForwardedHeader marks a request proxied by a replica to the key's
+	// forwardedHeader marks a request proxied by a replica to the key's
 	// owner; the owner must serve it locally (loop prevention).
-	ForwardedHeader = "X-Cluster-Forwarded"
+	forwardedHeader = "X-Cluster-Forwarded"
 	// fromHeader carries the sender's advertised URL so inbound chaos can
 	// partition per link and logs can name the caller.
 	fromHeader = "X-Cluster-From"
@@ -51,7 +51,7 @@ func (n *Node) rpc(ctx context.Context, p *peer, method, path, contentType strin
 	site := siteRPC(p.url)
 	n.chaos.Sleep(site)
 	if n.chaos.Partitioned(site) {
-		n.met.add(func(m *nodeMetrics) { m.rpcDropped++ })
+		n.met.rpcDropped.Inc()
 		return 0, nil, chaos.ErrPartitioned
 	}
 
@@ -80,7 +80,7 @@ func (n *Node) doHTTP(ctx context.Context, base, method, path, contentType strin
 	}
 	req.Header.Set(fromHeader, n.cfg.Self)
 	if forwarded {
-		req.Header.Set(ForwardedHeader, "1")
+		req.Header.Set(forwardedHeader, "1")
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -105,7 +105,7 @@ func (n *Node) inboundPartitioned(r *http.Request) bool {
 	site := siteInbound(from)
 	n.chaos.Sleep(site)
 	if n.chaos.Partitioned(site) {
-		n.met.add(func(m *nodeMetrics) { m.rpcDropped++ })
+		n.met.rpcDropped.Inc()
 		return true
 	}
 	return false

@@ -348,14 +348,28 @@ type ODEPoint struct {
 // every sampled point (wsode's CSV rows, the streaming endpoint's NDJSON
 // lines). Integration stops early if yield returns false.
 func (s *ODESpec) Trajectory(yield func(p ODEPoint) bool) error {
+	m, fp, err := s.solve()
+	if err != nil {
+		return err
+	}
+	s.trajectory(m, fp, yield)
+	return nil
+}
+
+// solve builds the model and solves its fixed point — once per trajectory,
+// shared by Trajectory and Integrate.
+func (s *ODESpec) solve() (core.Model, core.FixedPoint, error) {
 	m, err := s.BuildModel()
 	if err != nil {
-		return err
+		return nil, core.FixedPoint{}, err
 	}
 	fp, err := meanfield.Solve(m, meanfield.SolveOptions{})
-	if err != nil {
-		return err
-	}
+	return m, fp, err
+}
+
+// trajectory integrates m from the empty system, measuring distances to
+// its fixed point fp.
+func (s *ODESpec) trajectory(m core.Model, fp core.FixedPoint, yield func(p ODEPoint) bool) {
 	x := m.Initial()
 	next := 0.0
 	h := s.Dt
@@ -375,7 +389,6 @@ func (s *ODESpec) Trajectory(yield func(p ODEPoint) bool) error {
 			Distance: numeric.Dist1(y, fp.State),
 		})
 	})
-	return nil
 }
 
 // ODEReport is the JSON shape of one integrated trajectory — the exact
@@ -395,23 +408,17 @@ type ODEReport struct {
 // Integrate runs the trajectory to completion and renders the report,
 // including the 1% settle time relative to the fixed point's mean load.
 func (s *ODESpec) Integrate() (ODEReport, error) {
-	m, err := s.BuildModel()
-	if err != nil {
-		return ODEReport{}, err
-	}
-	fp, err := meanfield.Solve(m, meanfield.SolveOptions{})
+	m, fp, err := s.solve()
 	if err != nil {
 		return ODEReport{}, err
 	}
 	rep := ODEReport{Model: m.Name(), Lambda: s.Lambda, FixedPoint: fp.MeanTasks(), SettleTime: -1}
-	if err := s.Trajectory(func(p ODEPoint) bool {
+	s.trajectory(m, fp, func(p ODEPoint) bool {
 		rep.Times = append(rep.Times, p.T)
 		rep.Loads = append(rep.Loads, p.Load)
 		rep.Distances = append(rep.Distances, p.Distance)
 		return true
-	}); err != nil {
-		return ODEReport{}, err
-	}
+	})
 	tol := 0.01 * rep.FixedPoint
 	for i := range rep.Times {
 		if rep.Distances[i] <= tol {

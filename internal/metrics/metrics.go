@@ -262,3 +262,54 @@ func (s Summary) HistTable(title string) *table.Table {
 	}
 	return t
 }
+
+// CounterNames lists the Counters fields in their canonical order, the
+// order Each visits them in.
+var CounterNames = func() (names []string) {
+	new(Counters).Each(func(name string, _ int64) { names = append(names, name) })
+	return names
+}()
+
+// Each invokes fn for every counter field in its canonical order. This is
+// the single enumeration point shared by the replication summarizer and
+// the Prometheus exposition, so a counter added to the struct only needs
+// one registration.
+func (c *Counters) Each(fn func(name string, v int64)) {
+	fn("arrivals", c.Arrivals)
+	fn("spawns", c.Spawns)
+	fn("departures", c.Departures)
+	fn("steal_attempts", c.StealAttempts)
+	fn("steal_successes", c.StealSuccesses)
+	fn("steal_fail_empty", c.StealFailEmpty)
+	fn("steal_fail_threshold", c.StealFailThreshold)
+	fn("retries", c.Retries)
+	fn("retries_stale", c.RetriesStale)
+	fn("transfers_started", c.TransfersStarted)
+	fn("transfers_completed", c.TransfersCompleted)
+	fn("rebalances", c.Rebalances)
+	fn("rebalance_moves", c.RebalanceMoves)
+	fn("bulk_steals", c.BulkSteals)
+	fn("bulk_stolen_tasks", c.BulkStolenTasks)
+	fn("events", c.Events)
+}
+
+// Add accumulates o's counts into c (used by servers that keep lifetime
+// totals across simulation runs).
+func (c *Counters) Add(o Counters) {
+	c.Arrivals += o.Arrivals
+	c.Spawns += o.Spawns
+	c.Departures += o.Departures
+	c.StealAttempts += o.StealAttempts
+	c.StealSuccesses += o.StealSuccesses
+	c.StealFailEmpty += o.StealFailEmpty
+	c.StealFailThreshold += o.StealFailThreshold
+	c.Retries += o.Retries
+	c.RetriesStale += o.RetriesStale
+	c.TransfersStarted += o.TransfersStarted
+	c.TransfersCompleted += o.TransfersCompleted
+	c.Rebalances += o.Rebalances
+	c.RebalanceMoves += o.RebalanceMoves
+	c.BulkSteals += o.BulkSteals
+	c.BulkStolenTasks += o.BulkStolenTasks
+	c.Events += o.Events
+}

@@ -185,11 +185,10 @@ func RelErr(got, want float64) float64 {
 	return d / math.Abs(want)
 }
 
-// ErrDiverged is the shared sentinel for numeric blow-up: an iterate or
-// integration state that reached NaN or ±Inf. The ODE integrators and the
-// fixed-point solver wrap it so callers (the serving layer in particular)
-// can map "the numbers are garbage" to a typed outcome instead of emitting
-// a garbage table. Test with errors.Is.
+// ErrDiverged is the shared sentinel for numeric blow-up: an iterate that
+// reached NaN or ±Inf. The fixed-point solver wraps it so callers (the
+// serving layer in particular) can map "the numbers are garbage" to a
+// typed outcome instead of emitting a garbage table. Test with errors.Is.
 var ErrDiverged = errors.New("numeric: state diverged to NaN or Inf")
 
 // AllFinite reports whether every element of xs is a usable number

@@ -15,13 +15,6 @@ import (
 	"repro/internal/sched"
 )
 
-// currentInFlight reads the in-flight request gauge (in-package test hook).
-func currentInFlight(s *Server) int64 {
-	s.met.mu.Lock()
-	defer s.met.mu.Unlock()
-	return s.met.inFlight
-}
-
 // TestHandlerPanicContained pins the panic barrier: a panic injected into
 // the /v1/simulate handler chain becomes a 500 with code "panic", the
 // daemon keeps serving, and the panic is visible in /metrics.
@@ -313,7 +306,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	waitFor(t, func() bool { return currentInFlight(s) == 0 })
+	waitFor(t, func() bool { return s.met.inFlight.Value() == 0 })
 	// The handler goroutine (and anything it spawned) must be gone; allow a
 	// little slack for httptest's own connection bookkeeping.
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline+3 })

@@ -198,9 +198,7 @@ func TestSimulateCoalescing(t *testing.T) {
 			t.Fatalf("request %d: body differs from request 0", i)
 		}
 	}
-	s.met.mu.Lock()
-	runs := s.met.simRuns
-	s.met.mu.Unlock()
+	runs := s.met.simRuns.Value()
 	if runs > 2 { // spec has reps = 2
 		t.Errorf("64 identical requests executed %d engine runs, want <= 2", runs)
 	}
@@ -234,11 +232,7 @@ func TestSimulateOverload(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.simQueueDepth == 1
-	})
+	waitFor(t, func() bool { return s.met.simQueueDepth.Value() == 1 })
 
 	// Everything beyond the slot must be rejected immediately.
 	for i := 0; i < 8; i++ {
@@ -254,11 +248,7 @@ func TestSimulateOverload(t *testing.T) {
 
 	close(release)
 	<-firstDone
-	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.simQueueDepth == 0
-	})
+	waitFor(t, func() bool { return s.met.simQueueDepth.Value() == 0 })
 	// Rejections must not leak goroutines (429s return synchronously).
 	ts.Client().CloseIdleConnections()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline+15 })
@@ -286,9 +276,7 @@ func TestSimulateDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
 	}
-	s.met.mu.Lock()
-	ran, cancelled := s.met.simRuns, s.met.simCancelled
-	s.met.mu.Unlock()
+	ran, cancelled := s.met.simRuns.Value(), s.met.simCancelled.Value()
 	if ran != 0 || cancelled != 2 {
 		t.Errorf("deadline-expired request ran %d replications (cancelled %d), want 0 (2)", ran, cancelled)
 	}
@@ -408,11 +396,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		resc <- result{code: resp.StatusCode, body: b}
 	}()
-	waitFor(t, func() bool {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return s.met.inFlight >= 1
-	})
+	waitFor(t, func() bool { return s.met.inFlight.Value() >= 1 })
 
 	s.SetDraining(true)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

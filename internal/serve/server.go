@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,13 +129,36 @@ type Server struct {
 	cache    *lruCache
 	flight   *flightGroup
 	admit    chan struct{}
-	met      *serverMetrics
 	mux      *http.ServeMux
 	log      *slog.Logger
 	chaos    *chaos.Injector
 	brk      *breaker.Breaker
 	cluster  *cluster.Node
 	draining atomic.Bool
+
+	prom *metrics.Registry
+	// met holds the handles of the daemon's metric families (see
+	// registerMetrics), touched once per request, never per simulated
+	// event.
+	met struct {
+		requests           metrics.Vec[*metrics.Counter] // {code, route}
+		latency            metrics.Vec[*metrics.Histogram]
+		cacheHits          *metrics.Counter
+		cacheMisses        *metrics.Counter
+		coalesced          *metrics.Counter
+		simQueueDepth      *metrics.Gauge // admission slots currently held
+		simRejected        *metrics.Counter
+		simRuns            *metrics.Counter
+		simCancelled       *metrics.Counter
+		inFlight           *metrics.Gauge
+		servePanics        *metrics.Counter
+		replicationPanics  *metrics.Counter
+		breakerShortCircs  *metrics.Counter
+		breakerTransitions metrics.Vec[*metrics.Counter] // {from, to}
+
+		simMu     sync.Mutex
+		simEvents metrics.Counters // lifetime totals across served replications
+	}
 }
 
 // New builds a Server from cfg.
@@ -161,19 +185,19 @@ func New(cfg Config) *Server {
 		cache:   newLRUCache(cfg.CacheEntries),
 		flight:  newFlightGroup(),
 		admit:   make(chan struct{}, cfg.QueueDepth),
-		met:     newServerMetrics(),
 		mux:     http.NewServeMux(),
 		log:     logger,
 		chaos:   cfg.Chaos,
 		cluster: cfg.Cluster,
 	}
+	s.registerMetrics()
 	s.brk = breaker.New(breaker.Config{
 		Window:     cfg.BreakerWindow,
 		Threshold:  cfg.BreakerThreshold,
 		MinSamples: cfg.BreakerMinSamples,
 		Cooldown:   cfg.BreakerCooldown,
 		OnTransition: func(from, to breaker.State) {
-			s.met.addBreakerTransition(from.String(), to.String())
+			s.met.breakerTransitions.With(from.String(), to.String()).Inc()
 			s.log.Warn("breaker transition", "route", "/v1/simulate",
 				"from", from.String(), "to", to.String())
 		},
@@ -232,7 +256,9 @@ func (s *Server) Close() {
 
 // CacheStats reports lifetime cache hits and misses (used by tests and the
 // example load generator).
-func (s *Server) CacheStats() (hits, misses int64) { return s.met.snapshotHits() }
+func (s *Server) CacheStats() (hits, misses int64) {
+	return s.met.cacheHits.Value(), s.met.cacheMisses.Value()
+}
 
 // statusWriter captures the status code and body size for logging/metrics.
 type statusWriter struct {
@@ -281,11 +307,11 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		s.met.inFlightDelta(1)
+		s.met.inFlight.Add(1)
 		defer func() {
 			v := recover()
 			if v != nil {
-				s.met.addServePanic()
+				s.met.servePanics.Inc()
 				s.log.Error("handler panic", "route", name, "panic", fmt.Sprint(v))
 				if sw.status == 0 {
 					s.writeError(sw, &httpError{
@@ -298,9 +324,10 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 			if sw.status == 0 {
 				sw.status = http.StatusOK
 			}
-			s.met.inFlightDelta(-1)
+			s.met.inFlight.Add(-1)
 			elapsed := time.Since(start)
-			s.met.observeRequest(name, strconv.Itoa(sw.status), elapsed.Seconds())
+			s.met.requests.With(strconv.Itoa(sw.status), name).Inc()
+			s.met.latency.With(name).Observe(elapsed.Seconds())
 			s.log.Info("request",
 				"method", r.Method,
 				"route", name,
@@ -325,7 +352,7 @@ func (s *Server) withBreaker(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ok, gen, retry := s.brk.Allow()
 		if !ok {
-			s.met.addBreakerShortCircuit()
+			s.met.breakerShortCircs.Inc()
 			secs := int(math.Ceil(retry.Seconds()))
 			if secs < 1 {
 				secs = 1
@@ -438,26 +465,28 @@ func renderJSON(v any) ([]byte, error) {
 
 // serveCached implements the shared read path: cache lookup on the
 // canonical key, then a coalesced compute on miss, then cache fill. timeout
-// bounds the compute context (0 = none).
+// bounds the compute context (0 = none). The cache is filled inside the
+// flight, before it ends, so a request arriving as it ends finds the
+// result cached instead of starting a second computation.
 func (s *Server) serveCached(ctx context.Context, key string, timeout time.Duration,
 	compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
 
 	if body, ok := s.cache.Get(key); ok {
-		s.met.addCacheHit()
+		s.met.cacheHits.Inc()
 		return body, nil
 	}
-	s.met.addCacheMiss()
-	body, err, shared := s.flight.Do(ctx, key, timeout, compute)
+	s.met.cacheMisses.Inc()
+	body, err, shared := s.flight.Do(ctx, key, timeout, func(ctx context.Context) ([]byte, error) {
+		body, err := compute(ctx)
+		if err == nil {
+			s.cache.Add(key, body)
+		}
+		return body, err
+	})
 	if shared {
-		s.met.addCoalesced()
+		s.met.coalesced.Inc()
 	}
-	if err != nil {
-		return nil, err
-	}
-	if !shared { // the leader fills the cache once
-		s.cache.Add(key, body)
-	}
-	return body, nil
+	return body, err
 }
 
 // solveError classifies a solve failure: typed numeric failures keep their
@@ -508,8 +537,7 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, route, key
 	if s.cluster == nil {
 		return false
 	}
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
-		s.cluster.NoteForwardedIn()
+	if s.cluster.ForwardedIn(r) {
 		return false
 	}
 	if _, ok := s.cache.Get(key); ok {
@@ -673,13 +701,13 @@ func (s *Server) computeSim(ctx context.Context, key string, spec *experiments.S
 	select {
 	case s.admit <- struct{}{}:
 	default:
-		s.met.addRejected()
+		s.met.simRejected.Inc()
 		return nil, errOverloaded
 	}
-	s.met.queueDelta(1)
+	s.met.simQueueDepth.Add(1)
 	defer func() {
 		<-s.admit
-		s.met.queueDelta(-1)
+		s.met.simQueueDepth.Add(-1)
 	}()
 
 	cell, err := s.pool.Sim(opts, spec.Reps)
@@ -693,20 +721,19 @@ func (s *Server) computeSim(ctx context.Context, key string, spec *experiments.S
 	agg, aggErr := cell.AggregateCtx(ctx)
 	ran := cell.Ran()
 	stolen := cell.Stolen() // peer-computed replications are neither local runs nor skips
-	var cs []metrics.Counters
-	if aggErr == nil {
-		cs = make([]metrics.Counters, len(agg.Results))
-		for i, res := range agg.Results {
-			cs[i] = res.Metrics.Counters
-		}
-	}
-	s.met.observeSim(ran, int64(spec.Reps)-ran-stolen, cs)
+	s.met.simRuns.Add(ran)
+	s.met.simCancelled.Add(int64(spec.Reps) - ran - stolen)
 	if aggErr != nil {
 		if errors.Is(aggErr, sched.ErrReplicationPanic) {
-			s.met.addReplicationPanic()
+			s.met.replicationPanics.Inc()
 		}
 		return nil, aggErr
 	}
+	s.met.simMu.Lock()
+	for _, res := range agg.Results {
+		s.met.simEvents.Add(res.Metrics.Counters)
+	}
+	s.met.simMu.Unlock()
 	return renderJSON(experiments.BuildSimReport(spec, agg))
 }
 
@@ -736,13 +763,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves GET /metrics in Prometheus text format.
+// handleMetrics serves GET /metrics in Prometheus text format: the
+// server's families, then the cluster node's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	p := metrics.NewPromWriter()
-	s.met.emit(p, s.cache.Len(), s.brk.Current(), s.chaos)
+	body := s.prom.AppendText(nil)
 	if s.cluster != nil {
-		s.cluster.EmitProm(p)
+		body = s.cluster.Metrics().AppendText(body)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p.WriteTo(w)
+	w.Write(body)
 }
